@@ -30,8 +30,8 @@ var ErrPlanStale = errors.New("db: prepared plan is stale (catalog changed since
 const defaultPlanCacheSize = 256
 
 // Prepared is a statement planned once for repeated execution: parsed,
-// sema-checked, view-expanded and (for the point-scoring SELECT shape)
-// compiled to closures at prepare time. Execute binds `?` parameter
+// sema-checked, view-expanded and, for a SELECT, compiled to the
+// executor's plan at prepare time. Execute binds `?` parameter
 // values and runs. A Prepared is safe for concurrent use; executions
 // that race a CREATE/DROP either use the pre-DDL plan consistently or
 // fail with ErrPlanStale.

@@ -379,3 +379,77 @@ func TestPreparedDDLRace(t *testing.T) {
 	close(stop)
 	churn.Wait()
 }
+
+// A `?` statement run through Prepare/Execute returns the same rows,
+// in the same order, as the ad-hoc statement with the literals written
+// in: one plan serves both, with parameters bound into evaluator slots
+// rather than rebound as literals.
+func TestPreparedMatchesLiteralText(t *testing.T) {
+	d := preparedFixture(t)
+	mustExec(t, d, "CREATE TABLE m (j BIGINT, w DOUBLE)")
+	mustExec(t, d, "INSERT INTO m VALUES (1, 0.5), (2, 2.0), (3, -1.0)")
+	big, dbl := sqltypes.NewBigInt, sqltypes.NewDouble
+	cases := []struct {
+		name, sql string
+		args      []sqltypes.Value
+	}{
+		{"aggregate args", "SELECT count(*), avg(x + ?) FROM pts WHERE i > ?", []sqltypes.Value{big(3), big(4)}},
+		{"same call, two slots", "SELECT sum(x * ?), sum(x * ?) FROM pts", []sqltypes.Value{big(1), big(2)}},
+		{"group by", "SELECT sum(x) FROM pts GROUP BY i % ?", []sqltypes.Value{big(3)}},
+		{"having", "SELECT i % 3, count(*) FROM pts GROUP BY i % 3 HAVING sum(x) > ?", []sqltypes.Value{dbl(15.5)}},
+		{"post-aggregate item", "SELECT i % 3, sum(x) * ? FROM pts GROUP BY i % 3", []sqltypes.Value{dbl(0.25)}},
+		{"tail join push-down", "SELECT i, w FROM pts CROSS JOIN m WHERE m.j = ? AND i < ?", []sqltypes.Value{big(2), big(5)}},
+		{"tail join aggregate", "SELECT m.j, sum(x * w) FROM pts CROSS JOIN m WHERE m.j > ? GROUP BY m.j", []sqltypes.Value{big(1)}},
+		{"from-less", "SELECT ? + 1, ? * 2", []sqltypes.Value{big(41), dbl(0.5)}},
+		{"order by ordinal", "SELECT i, 9 - i FROM pts ORDER BY ?", []sqltypes.Value{big(2)}},
+		{"order by ordinal desc", "SELECT x, i FROM pts WHERE i > ? ORDER BY ? DESC", []sqltypes.Value{big(2), big(1)}},
+		{"order by hidden key", "SELECT i FROM pts ORDER BY x * ?", []sqltypes.Value{big(-1)}},
+		{"limit", "SELECT i FROM pts WHERE x > ? ORDER BY i DESC LIMIT 3", []sqltypes.Value{dbl(2)}},
+	}
+	render := func(rows []sqltypes.Row) string {
+		var b strings.Builder
+		for _, r := range rows {
+			for _, v := range r {
+				fmt.Fprintf(&b, "%d:%s ", v.Type(), v)
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := d.Prepare(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			prepared, err := p.Execute(tc.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := tc.sql
+			for _, a := range tc.args {
+				lit := a.String()
+				if a.Type() == sqltypes.TypeDouble && !strings.ContainsAny(lit, ".e") {
+					lit += ".0"
+				}
+				text = strings.Replace(text, "?", lit, 1)
+			}
+			adhoc, err := d.Exec(text)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			if got, want := render(prepared.Rows), render(adhoc.Rows); got != want || len(adhoc.Rows) == 0 {
+				t.Fatalf("prepared:\n%s\nliteral %s:\n%s", got, text, want)
+			}
+		})
+	}
+
+	// Matching GROUP BY expressions by text is slot-aware: `i + ?` in the
+	// select list and `i + ?` in GROUP BY read different slots, so the
+	// item is not a grouping key and the statement is refused at
+	// prepare, whatever values the two slots would be bound to.
+	if _, err := d.Prepare("SELECT i + ? FROM pts GROUP BY i + ?"); err == nil || !strings.Contains(err.Error(), "GROUP BY") {
+		t.Fatalf("GROUP BY over a different slot: err = %v", err)
+	}
+}

@@ -1,37 +1,197 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
 	"strconv"
 	"strings"
 
-	"repro/internal/engine/expr"
 	"repro/internal/engine/obs"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/udf"
 )
 
+// aggPlan is the aggregate half of a SELECT plan: the select items
+// and HAVING rewritten over the group row [groupValues...,
+// aggregateResults...], and the aggregate calls they read.
+type aggPlan struct {
+	groupBy []sqlparser.Expr
+	specs   []aggSpec
+	items   []sqlparser.Expr
+	having  sqlparser.Expr // nil when absent
+}
+
+// planAggregate rewrites the select list and HAVING for the
+// post-aggregation phase and checks that, outside aggregate calls,
+// they only read GROUP BY expressions.
+func planAggregate(sel *sqlparser.Select, items []sqlparser.SelectItem, numParams int, aggs *udf.Registry) (*aggPlan, error) {
+	rw := newAggRewriter(sel.GroupBy, numParams, aggs)
+	a := &aggPlan{groupBy: sel.GroupBy, items: make([]sqlparser.Expr, len(items))}
+	for i, item := range items {
+		re, err := rw.rewrite(item.Expr)
+		if err != nil {
+			return nil, err
+		}
+		if err := onlyGroupRefs(re, "column"); err != nil {
+			return nil, fmt.Errorf("%w (select item %d)", err, i+1)
+		}
+		a.items[i] = re
+	}
+	if sel.Having != nil {
+		having, err := rw.rewrite(sel.Having)
+		if err != nil {
+			return nil, err
+		}
+		if err := onlyGroupRefs(having, "HAVING column"); err != nil {
+			return nil, err
+		}
+		a.having = having
+	}
+	a.specs = rw.specs
+	return a, nil
+}
+
+// onlyGroupRefs rejects a rewritten expression that still reads a
+// table column.
+func onlyGroupRefs(e sqlparser.Expr, what string) error {
+	var bad error
+	walkRefs(e, func(cr *sqlparser.ColumnRef) {
+		if cr.Table != grpQualifier && cr.Table != aggQualifier && bad == nil {
+			bad = fmt.Errorf("exec: %s %s must appear in GROUP BY or inside an aggregate", what, cr)
+		}
+	})
+	return bad
+}
+
+// resolve maps the synthetic $grp.k/$agg.k references to group-row
+// ordinals.
+func (a *aggPlan) resolve(table, col string) (int, error) {
+	k, err := strconv.Atoi(col)
+	if err != nil {
+		return 0, fmt.Errorf("exec: internal: bad synthetic column %s.%s", table, col)
+	}
+	switch table {
+	case grpQualifier:
+		return k, nil
+	case aggQualifier:
+		return len(a.groupBy) + k, nil
+	}
+	return 0, fmt.Errorf("exec: internal: unexpected qualifier %q", table)
+}
+
+// groupTable is hash aggregation state (phases 1-2 of the UDF
+// protocol for one partition, or the master's merged result). Groups
+// keep their first-seen order, so the merge walks partitions in order
+// and the output is the same on every run, whatever order the workers
+// finish in.
+type groupTable struct {
+	byKey map[string]*groupState
+	order []*groupState
+	calls int64 // aggregate-protocol Accumulate calls
+
+	keyBuf  strings.Builder
+	keyVals sqltypes.Row
+	argBuf  []sqltypes.Value
+}
+
 // groupState is the per-group working storage: one UDF state per
 // aggregate spec plus the group key values. DISTINCT specs defer
 // accumulation: they collect the value set during the scan and fold it
-// into a fresh state only after the cross-partition set union, so a
-// value seen in two partitions counts once.
+// into the state only after the cross-partition set union, so a value
+// seen in two partitions counts once.
 type groupState struct {
+	key     string
 	keyVals sqltypes.Row
 	states  []udf.State
-	seen    []map[string]sqltypes.Row // per-spec DISTINCT sets, nil when not distinct
+	seen    []*distinctSet // per spec; nil when not DISTINCT
 }
 
-// runAggregate executes an aggregate SELECT: per-partition hash
-// aggregation (phases 1-2 of the UDF protocol), a master merge
-// (phase 3), then finalization and post-aggregation expression
-// evaluation (phase 4). Each phase's wall time and the per-partition
-// scan volumes are recorded in st; every per-partition state is local
-// to its worker goroutine until the single-threaded merge.
-func runAggregate(ctx context.Context, sel *sqlparser.Select, items []sqlparser.SelectItem, b *binding, env *Env, sink RowSink, st *Stats) (_ *sqltypes.Schema, err error) {
+// distinctSet is one DISTINCT aggregate's argument set in first-seen
+// order.
+type distinctSet struct {
+	keys map[string]bool
+	rows []sqltypes.Row
+}
+
+func (d *distinctSet) add(args sqltypes.Row) {
+	k := distinctKey(args)
+	if !d.keys[k] {
+		d.keys[k] = true
+		d.rows = append(d.rows, args.Clone())
+	}
+}
+
+func newGroupTable() *groupTable {
+	return &groupTable{byKey: make(map[string]*groupState)}
+}
+
+func (gt *groupTable) insert(g *groupState) {
+	gt.byKey[g.key] = g
+	gt.order = append(gt.order, g)
+}
+
+// add folds one joined, filtered row into its group.
+func (gt *groupTable) add(a *aggPlan, set *evalSet, flat sqltypes.Row) error {
+	if cap(gt.keyVals) < len(set.groups) {
+		gt.keyVals = make(sqltypes.Row, len(set.groups))
+	}
+	keyVals := gt.keyVals[:len(set.groups)]
+	gt.keyBuf.Reset()
+	for i, ev := range set.groups {
+		v, err := ev.Eval(flat)
+		if err != nil {
+			return err
+		}
+		keyVals[i] = v
+		s := v.String()
+		gt.keyBuf.WriteString(strconv.Itoa(len(s)))
+		gt.keyBuf.WriteByte(':')
+		gt.keyBuf.WriteString(s)
+	}
+	key := gt.keyBuf.String()
+	g, ok := gt.byKey[key]
+	if !ok {
+		ng, err := newGroupState(key, keyVals, a.specs)
+		if err != nil {
+			return err
+		}
+		g = ng
+		gt.insert(g)
+	}
+	for i, s := range a.specs {
+		var args []sqltypes.Value
+		if !s.star {
+			evs := set.args[i]
+			if cap(gt.argBuf) < len(evs) {
+				gt.argBuf = make([]sqltypes.Value, len(evs))
+			}
+			args = gt.argBuf[:len(evs)]
+			for j, ev := range evs {
+				v, err := ev.Eval(flat)
+				if err != nil {
+					return err
+				}
+				args[j] = v
+			}
+		}
+		if g.seen[i] != nil {
+			g.seen[i].add(args) // accumulated after the global set union
+			continue
+		}
+		if err := s.agg.Accumulate(g.states[i], args); err != nil {
+			return err
+		}
+		gt.calls++
+	}
+	return nil
+}
+
+// aggregate merges the per-partition partials in partition order
+// (phase 3), then finalizes each group and evaluates HAVING and the
+// post-aggregation items (phase 4), returning one row per group in
+// first-seen order.
+func (p *PreparedSelect) aggregate(parts []*groupTable, set *evalSet, st *Stats) (_ []sqltypes.Row, err error) {
 	// Scan-phase panics are contained per partition by RunParallel; this
 	// guard covers the merge and finalize phases, which run UDF code
 	// (Merge, Finalize) on the coordinating goroutine.
@@ -40,194 +200,20 @@ func runAggregate(ctx context.Context, sel *sqlparser.Select, items []sqlparser.
 			err = fmt.Errorf("exec: panic during aggregation: %v\n%s", r, debug.Stack())
 		}
 	}()
-	st.hasMerge = true
-	plan := st.ensureRoot().child("plan")
-	// Rewrite the select list, collecting aggregate specs.
-	rewritten := make([]sqlparser.Expr, len(items))
-	var specs []aggSpec
-	for i, item := range items {
-		rewritten[i], specs, err = rewriteAggregates(item.Expr, sel.GroupBy, specs, env.Aggs)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// HAVING is evaluated over the same post-aggregation row.
-	var having sqlparser.Expr
-	if sel.Having != nil {
-		having, specs, err = rewriteAggregates(sel.Having, sel.GroupBy, specs, env.Aggs)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Validate: rewritten items may only reference $grp/$agg columns.
-	for i, re := range rewritten {
-		var bad error
-		walkRefs(re, func(cr *sqlparser.ColumnRef) {
-			if cr.Table != grpQualifier && cr.Table != aggQualifier && bad == nil {
-				bad = fmt.Errorf("exec: column %s must appear in GROUP BY or inside an aggregate", cr)
-			}
-		})
-		if bad != nil {
-			return nil, fmt.Errorf("%w (select item %d)", bad, i+1)
-		}
-	}
-
-	tail, residual, err := joinTail(ctx, b, sel.Where, env.Funcs)
-	if err != nil {
-		return nil, err
-	}
-
-	first := b.tables[0].table
-	nparts := first.Partitions()
-	partGroups := make([]map[string]*groupState, nparts)
-	st.Partitions = nparts
-	st.Workers = scanWorkers(env, nparts)
-	st.PartitionRows = make([]int64, nparts)
-	st.Plan = plan.finish()
-
-	scanSpan := st.Root.child("scan")
-	partSpans := make([]*Span, nparts)
-	err = RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, p int) error {
-		span := newSpan(fmt.Sprintf("scan[p%d]", p))
-		partSpans[p] = span
-		// Everything below — evaluators, group states, errors — is
-		// local to this partition's worker; partGroups[p] is this
-		// worker's own slot. Nothing here may write enclosing-scope
-		// variables (the old code shared `err` across workers, the
-		// data race this layer exists to prevent).
-		groups := make(map[string]*groupState)
-		partGroups[p] = groups
-
-		var where expr.Evaluator
-		if residual != nil {
-			w, cerr := expr.Compile(residual, b.resolve, env.Funcs)
-			if cerr != nil {
-				return cerr
-			}
-			where = w
-		}
-		groupEvs := make([]expr.Evaluator, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
-			ev, cerr := expr.Compile(g, b.resolve, env.Funcs)
-			if cerr != nil {
-				return cerr
-			}
-			groupEvs[i] = ev
-		}
-		argEvs := make([][]expr.Evaluator, len(specs))
-		for i, s := range specs {
-			argEvs[i] = make([]expr.Evaluator, len(s.args))
-			for j, a := range s.args {
-				ev, cerr := expr.Compile(a, b.resolve, env.Funcs)
-				if cerr != nil {
-					return cerr
-				}
-				argEvs[i][j] = ev
-			}
-		}
-
-		flat := make(sqltypes.Row, b.width)
-		keyVals := make(sqltypes.Row, len(groupEvs))
-		var keyBuf strings.Builder
-		argBuf := make([]sqltypes.Value, 8)
-		var accCalls int64 // aggregate-protocol Accumulate calls, flushed once
-
-		ps, serr := first.ScanPartitionStats(ctx, p, func(r sqltypes.Row) error {
-			for _, t := range tail {
-				copy(flat, r)
-				copy(flat[len(r):], t)
-				if where != nil {
-					keep, err := where.Eval(flat)
-					if err != nil {
-						return err
-					}
-					if keep.IsNull() || !keep.Bool() {
-						continue
-					}
-				}
-				// Group key.
-				keyBuf.Reset()
-				for i, ev := range groupEvs {
-					v, err := ev.Eval(flat)
-					if err != nil {
-						return err
-					}
-					keyVals[i] = v
-					s := v.String()
-					keyBuf.WriteString(strconv.Itoa(len(s)))
-					keyBuf.WriteByte(':')
-					keyBuf.WriteString(s)
-				}
-				key := keyBuf.String()
-				g, ok := groups[key]
-				if !ok {
-					ng, gerr := newGroupState(keyVals, specs)
-					if gerr != nil {
-						return gerr
-					}
-					g = ng
-					groups[key] = g
-				}
-				// Accumulate each aggregate.
-				for i, s := range specs {
-					var args []sqltypes.Value
-					if !s.star {
-						if cap(argBuf) < len(argEvs[i]) {
-							argBuf = make([]sqltypes.Value, len(argEvs[i]))
-						}
-						args = argBuf[:len(argEvs[i])]
-						for j, ev := range argEvs[i] {
-							v, err := ev.Eval(flat)
-							if err != nil {
-								return err
-							}
-							args[j] = v
-						}
-					}
-					if g.seen[i] != nil {
-						k := distinctKey(args)
-						if _, dup := g.seen[i][k]; !dup {
-							saved := make(sqltypes.Row, len(args))
-							copy(saved, args)
-							g.seen[i][k] = saved
-						}
-						continue // accumulated after the global set union
-					}
-					if err := s.agg.Accumulate(g.states[i], args); err != nil {
-						return err
-					}
-					accCalls++
-				}
-			}
-			return nil
-		})
-		st.PartitionRows[p] = ps.Rows
-		span.Rows, span.Bytes = ps.Rows, ps.Bytes
-		span.finish()
-		obs.UDFCalls.Add(accCalls)
-		return serr
-	})
-	st.Scan = scanSpan.finish()
-	finishScanSpan(scanSpan, partSpans, st)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 3: master merge of per-partition partials.
+	a := p.agg
 	mergeSpan := st.Root.child("merge")
-	merged := partGroups[0]
-	for _, pg := range partGroups[1:] {
-		for key, src := range pg {
-			dst, ok := merged[key]
+	merged := newGroupTable()
+	for _, part := range parts {
+		for _, src := range part.order {
+			dst, ok := merged.byKey[src.key]
 			if !ok {
-				merged[key] = src
+				merged.insert(src)
 				continue
 			}
-			for i, s := range specs {
+			for i, s := range a.specs {
 				if dst.seen[i] != nil {
-					for k, v := range src.seen[i] {
-						dst.seen[i][k] = v
+					for _, args := range src.seen[i].rows {
+						dst.seen[i].add(args)
 					}
 					continue
 				}
@@ -237,84 +223,41 @@ func runAggregate(ctx context.Context, sel *sqlparser.Select, items []sqlparser.
 			}
 		}
 	}
-
 	st.Merge = mergeSpan.finish()
 
 	// Global aggregate over an empty input still yields one row.
-	if len(sel.GroupBy) == 0 && len(merged) == 0 {
-		g, err := newGroupState(nil, specs)
+	if len(a.groupBy) == 0 && len(merged.order) == 0 {
+		g, err := newGroupState("", nil, a.specs)
 		if err != nil {
 			return nil, err
 		}
-		merged[""] = g
+		merged.insert(g)
 	}
 
-	// Phase 4: finalize and evaluate post-aggregation expressions.
 	finalizeSpan := st.Root.child("finalize")
 	defer func() { st.Finalize = finalizeSpan.finish() }()
-	outSchema := &sqltypes.Schema{Columns: make([]sqltypes.Column, len(items))}
-	for i, item := range items {
-		outSchema.Columns[i] = sqltypes.Column{Name: itemName(item, i), Type: sqltypes.TypeDouble}
-	}
-	resolve := func(table, col string) (int, error) {
-		k, err := strconv.Atoi(col)
-		if err != nil {
-			return 0, fmt.Errorf("exec: internal: bad synthetic column %s.%s", table, col)
-		}
-		switch table {
-		case grpQualifier:
-			return k, nil
-		case aggQualifier:
-			return len(sel.GroupBy) + k, nil
-		}
-		return 0, fmt.Errorf("exec: internal: unexpected qualifier %q", table)
-	}
-	itemEvs := make([]expr.Evaluator, len(rewritten))
-	for i, re := range rewritten {
-		ev, err := expr.Compile(re, resolve, env.Funcs)
-		if err != nil {
-			return nil, err
-		}
-		itemEvs[i] = ev
-	}
-	var havingEv expr.Evaluator
-	if having != nil {
-		var bad error
-		walkRefs(having, func(cr *sqlparser.ColumnRef) {
-			if cr.Table != grpQualifier && cr.Table != aggQualifier && bad == nil {
-				bad = fmt.Errorf("exec: HAVING column %s must appear in GROUP BY or inside an aggregate", cr)
-			}
-		})
-		if bad != nil {
-			return nil, bad
-		}
-		if havingEv, err = expr.Compile(having, resolve, env.Funcs); err != nil {
-			return nil, err
-		}
-	}
-
-	groupRow := make(sqltypes.Row, len(sel.GroupBy)+len(specs))
-	outRow := make(sqltypes.Row, len(items))
-	for _, g := range merged {
+	var rows []sqltypes.Row
+	groupRow := make(sqltypes.Row, len(a.groupBy)+len(a.specs))
+	for _, g := range merged.order {
 		copy(groupRow, g.keyVals)
-		for i, s := range specs {
+		for i, s := range a.specs {
 			if g.seen[i] != nil {
 				// Fold the (now global) distinct set into the state.
-				for _, args := range g.seen[i] {
+				for _, args := range g.seen[i].rows {
 					if err := s.agg.Accumulate(g.states[i], args); err != nil {
 						return nil, err
 					}
 				}
-				obs.UDFCalls.Add(int64(len(g.seen[i])))
+				obs.UDFCalls.Add(int64(len(g.seen[i].rows)))
 			}
 			v, err := s.agg.Finalize(g.states[i])
 			if err != nil {
 				return nil, err
 			}
-			groupRow[len(sel.GroupBy)+i] = v
+			groupRow[len(a.groupBy)+i] = v
 		}
-		if havingEv != nil {
-			keep, err := havingEv.Eval(groupRow)
+		if set.having != nil {
+			keep, err := set.having.Eval(groupRow)
 			if err != nil {
 				return nil, err
 			}
@@ -322,25 +265,25 @@ func runAggregate(ctx context.Context, sel *sqlparser.Select, items []sqlparser.
 				continue
 			}
 		}
-		for i, ev := range itemEvs {
+		out := make(sqltypes.Row, len(set.items))
+		for i, ev := range set.items {
 			v, err := ev.Eval(groupRow)
 			if err != nil {
 				return nil, err
 			}
-			outRow[i] = v
+			out[i] = v
 		}
-		if err := sink(outRow); err != nil {
-			return nil, err
-		}
+		rows = append(rows, out)
 	}
-	return outSchema, nil
+	return rows, nil
 }
 
-func newGroupState(keyVals sqltypes.Row, specs []aggSpec) (*groupState, error) {
+func newGroupState(key string, keyVals sqltypes.Row, specs []aggSpec) (*groupState, error) {
 	g := &groupState{
+		key:     key,
 		keyVals: keyVals.Clone(),
 		states:  make([]udf.State, len(specs)),
-		seen:    make([]map[string]sqltypes.Row, len(specs)),
+		seen:    make([]*distinctSet, len(specs)),
 	}
 	for i, s := range specs {
 		st, err := s.agg.Init(udf.NewHeap(udf.SegmentSize))
@@ -349,7 +292,7 @@ func newGroupState(keyVals sqltypes.Row, specs []aggSpec) (*groupState, error) {
 		}
 		g.states[i] = st
 		if s.distinct {
-			g.seen[i] = make(map[string]sqltypes.Row)
+			g.seen[i] = &distinctSet{keys: make(map[string]bool)}
 		}
 	}
 	return g, nil

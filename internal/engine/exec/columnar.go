@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/engine/expr"
@@ -17,9 +16,11 @@ import (
 // row-at-a-time interpreter for block-at-a-time kernels wherever that
 // is provably equivalent: n/L/Q summary scans run UpdateBlock over
 // segment blocks, and simple projections run compiled vector programs.
-// Everything else — and every partition whose segment is stale — falls
-// back to the row path, counted by engine_columnar_fallbacks_total, so
-// turning the flag on can change performance but never results.
+// The planner (PrepareSelect) is the only place that chooses the block
+// path for a projection. Everything else — and every partition whose
+// segment is stale — falls back to the row path, counted by
+// engine_columnar_fallbacks_total, so turning the flag on can change
+// performance but never results.
 
 // nlqBlocksEligible reports whether the summary scan over cols can use
 // block kernels: every selected column must be numeric *by schema
@@ -132,42 +133,12 @@ func planVecProjection(items []sqlparser.SelectItem, residual sqlparser.Expr, b 
 	return vp, nil
 }
 
-// run executes the vectorized projection scan with the same worker
-// discipline, spans and stats as the row path. Partitions whose
-// segments are stale rerun row-wise (counted as fallbacks); results
-// are identical either way.
-func (vp *vecProjection) run(ctx context.Context, env *Env, sink RowSink, st *Stats) error {
-	first := vp.b.tables[0].table
-	// Best-effort: rebuild stale segments up front so the cold path
-	// pays one rebuild instead of per-query row fallbacks. Failures are
-	// not fatal — stale partitions fall back below, and genuine row-log
-	// corruption resurfaces loudly from the row scan.
-	_ = first.EnsureSegments()
-	nparts := first.Partitions()
-	scan := st.Root.child("scan")
-	partSpans := make([]*Span, nparts)
-	err := RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, p int) error {
-		span := newSpan(fmt.Sprintf("scan[p%d]", p))
-		partSpans[p] = span
-		ps, serr := vp.scanPartition(ctx, p, env, sink)
-		if errors.Is(serr, storage.ErrSegmentStale) {
-			obs.ColumnarFallbacks.Inc()
-			ps, serr = vp.rowScanPartition(ctx, p, env, sink)
-		}
-		st.PartitionRows[p] = ps.Rows
-		span.Rows, span.Bytes = ps.Rows, ps.Bytes
-		span.finish()
-		return serr
-	})
-	st.Scan = scan.finish()
-	finishScanSpan(scan, partSpans, st)
-	return err
-}
-
-// scanPartition runs the block path over one partition. Programs are
-// compiled per call: they carry evaluation buffers, like the row
-// path's per-worker evaluators.
-func (vp *vecProjection) scanPartition(ctx context.Context, p int, env *Env, sink RowSink) (storage.ScanStats, error) {
+// scanPartition runs the block path over one partition, emitting the
+// projected rows in scan order. A stale segment fails with
+// storage.ErrSegmentStale before any row is emitted, so the caller can
+// rerun the partition row-wise. Programs are compiled per call: they
+// carry evaluation buffers, like the row path's evaluator sets.
+func (vp *vecProjection) scanPartition(ctx context.Context, p int, emit RowSink) (storage.ScanStats, error) {
 	var whereProg *expr.VectorProgram
 	if vp.residual != nil {
 		w, err := expr.CompileVector(vp.residual, vp.b.resolve, vp.vec)
@@ -257,52 +228,10 @@ func (vp *vecProjection) scanPartition(ctx context.Context, p int, env *Env, sin
 					out[i] = sqltypes.Null
 				}
 			}
-			if err := sink(out); err != nil {
+			if err := emit(out); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-}
-
-// rowScanPartition is the per-partition row fallback: the scalar
-// equivalent of scanPartition for a single-table projection (the flat
-// row is the table row itself).
-func (vp *vecProjection) rowScanPartition(ctx context.Context, p int, env *Env, sink RowSink) (storage.ScanStats, error) {
-	evals := make([]expr.Evaluator, len(vp.items))
-	for i, item := range vp.items {
-		ev, err := expr.Compile(item.Expr, vp.b.resolve, env.Funcs)
-		if err != nil {
-			return storage.ScanStats{}, err
-		}
-		evals[i] = ev
-	}
-	var where expr.Evaluator
-	if vp.residual != nil {
-		w, err := expr.Compile(vp.residual, vp.b.resolve, env.Funcs)
-		if err != nil {
-			return storage.ScanStats{}, err
-		}
-		where = w
-	}
-	out := make(sqltypes.Row, len(evals))
-	return vp.b.tables[0].table.ScanPartitionStats(ctx, p, func(r sqltypes.Row) error {
-		if where != nil {
-			keep, err := where.Eval(r)
-			if err != nil {
-				return err
-			}
-			if keep.IsNull() || !keep.Bool() {
-				return nil
-			}
-		}
-		for i, ev := range evals {
-			v, err := ev.Eval(r)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		return sink(out)
 	})
 }

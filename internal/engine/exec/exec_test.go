@@ -62,6 +62,19 @@ func sel(t *testing.T, sql string) *sqlparser.Select {
 	return st.(*sqlparser.Select)
 }
 
+// joinTail plans, compiles and scans a statement's cross-join tail the
+// way an execution does: WHERE conjuncts that reference a single tail
+// table push down to its scan, the rest stay in the residual.
+func joinTail(ctx context.Context, b *binding, where sqlparser.Expr, funcs *expr.Registry) ([]sqltypes.Row, sqlparser.Expr, error) {
+	tp := planTail(b, where)
+	filters, err := tp.compileFilters(b, funcs, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	tail, err := tp.scan(ctx, b, filters)
+	return tail, tp.residual, err
+}
+
 func TestSplitConjuncts(t *testing.T) {
 	e, _ := sqlparser.ParseExpr("a = 1 AND b = 2 AND (c = 3 OR d = 4)")
 	parts := splitConjuncts(e)

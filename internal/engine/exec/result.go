@@ -7,7 +7,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/storage"
@@ -39,16 +38,3 @@ func (r *Result) Value() (sqltypes.Value, error) {
 // RowSink receives result rows. Sinks may be invoked from multiple
 // goroutines concurrently; implementations must synchronize.
 type RowSink func(sqltypes.Row) error
-
-// collector is a RowSink that materializes rows safely.
-type collector struct {
-	mu   sync.Mutex
-	rows []sqltypes.Row
-}
-
-func (c *collector) sink(r sqltypes.Row) error {
-	c.mu.Lock()
-	c.rows = append(c.rows, r.Clone())
-	c.mu.Unlock()
-	return nil
-}

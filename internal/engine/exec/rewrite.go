@@ -26,24 +26,62 @@ const (
 	aggQualifier = "$agg"
 )
 
-// rewriteAggregates rewrites a select-item expression for the
+// aggRewriter rewrites select-list expressions for the
 // post-aggregation evaluation phase: subtrees textually equal to a
 // GROUP BY expression become $grp.k references, and aggregate calls
-// become $agg.k references while being collected into specs. The
-// returned specs slice extends the one passed in (deduplicated).
-func rewriteAggregates(e sqlparser.Expr, groupBy []sqlparser.Expr, specs []aggSpec, aggs *udf.Registry) (sqlparser.Expr, []aggSpec, error) {
-	for k, g := range groupBy {
-		if e.String() == g.String() {
-			return &sqlparser.ColumnRef{Table: grpQualifier, Name: strconv.Itoa(k)}, specs, nil
+// become $agg.k references while being collected (deduplicated) into
+// specs.
+type aggRewriter struct {
+	aggs      *udf.Registry
+	slots     []sqlparser.Expr // slot-numbered stand-ins for `?`, one per parameter
+	groupKeys []string         // key of each GROUP BY expression
+	specs     []aggSpec
+}
+
+func newAggRewriter(groupBy []sqlparser.Expr, numParams int, aggs *udf.Registry) *aggRewriter {
+	r := &aggRewriter{aggs: aggs, slots: make([]sqlparser.Expr, numParams)}
+	for i := range r.slots {
+		r.slots[i] = slotRef{&sqlparser.ParamRef{Index: i}}
+	}
+	for _, g := range groupBy {
+		r.groupKeys = append(r.groupKeys, r.key(g))
+	}
+	return r
+}
+
+// slotRef stands in for a `?` when expressions are compared by text.
+// ParamRef prints as a bare "?", so without slot numbers sum(x * ?)
+// reading two different slots would collapse into one aggregate.
+type slotRef struct{ *sqlparser.ParamRef }
+
+func (s slotRef) String() string { return "?" + strconv.Itoa(s.Index+1) }
+
+// key is e's canonical text with every `?` numbered by slot.
+func (r *aggRewriter) key(e sqlparser.Expr) string {
+	if len(r.slots) == 0 {
+		return e.String()
+	}
+	return sqlparser.SubstituteParams(e, r.slots).String()
+}
+
+// rewrite returns e rewritten over the group row
+// [groupValues..., aggregateResults...].
+func (r *aggRewriter) rewrite(e sqlparser.Expr) (sqlparser.Expr, error) {
+	if len(r.groupKeys) > 0 {
+		k := r.key(e)
+		for i, g := range r.groupKeys {
+			if k == g {
+				return &sqlparser.ColumnRef{Table: grpQualifier, Name: strconv.Itoa(i)}, nil
+			}
 		}
 	}
 	if fc, ok := e.(*sqlparser.FuncCall); ok {
 		name := strings.ToLower(fc.Name)
-		if agg, found := aggs.Lookup(name); found && (expr.AggregateNames[name] || !isScalarOnly(name)) {
-			key := fc.String()
-			for k, s := range specs {
+		if agg, found := r.aggs.Lookup(name); found && (expr.AggregateNames[name] || !isScalarOnly(name)) {
+			key := r.key(fc)
+			for k, s := range r.specs {
 				if s.key == key {
-					return &sqlparser.ColumnRef{Table: aggQualifier, Name: strconv.Itoa(k)}, specs, nil
+					return &sqlparser.ColumnRef{Table: aggQualifier, Name: strconv.Itoa(k)}, nil
 				}
 			}
 			nargs := len(fc.Args)
@@ -51,10 +89,10 @@ func rewriteAggregates(e sqlparser.Expr, groupBy []sqlparser.Expr, specs []aggSp
 				nargs = 0
 			}
 			if err := agg.CheckArgs(nargs); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			specs = append(specs, aggSpec{agg: agg, args: fc.Args, star: fc.Star, distinct: fc.Distinct, key: key})
-			return &sqlparser.ColumnRef{Table: aggQualifier, Name: strconv.Itoa(len(specs) - 1)}, specs, nil
+			r.specs = append(r.specs, aggSpec{agg: agg, args: fc.Args, star: fc.Star, distinct: fc.Distinct, key: key})
+			return &sqlparser.ColumnRef{Table: aggQualifier, Name: strconv.Itoa(len(r.specs) - 1)}, nil
 		}
 	}
 	// Recurse structurally, rebuilding the node.
@@ -62,75 +100,75 @@ func rewriteAggregates(e sqlparser.Expr, groupBy []sqlparser.Expr, specs []aggSp
 	switch e := e.(type) {
 	case *sqlparser.UnaryExpr:
 		out := &sqlparser.UnaryExpr{Op: e.Op}
-		out.X, specs, err = rewriteAggregates(e.X, groupBy, specs, aggs)
-		return out, specs, err
+		out.X, err = r.rewrite(e.X)
+		return out, err
 	case *sqlparser.BinaryExpr:
 		out := &sqlparser.BinaryExpr{Op: e.Op}
-		if out.L, specs, err = rewriteAggregates(e.L, groupBy, specs, aggs); err != nil {
-			return nil, nil, err
+		if out.L, err = r.rewrite(e.L); err != nil {
+			return nil, err
 		}
-		out.R, specs, err = rewriteAggregates(e.R, groupBy, specs, aggs)
-		return out, specs, err
+		out.R, err = r.rewrite(e.R)
+		return out, err
 	case *sqlparser.FuncCall:
 		out := &sqlparser.FuncCall{Name: e.Name, Star: e.Star, Distinct: e.Distinct}
 		out.Args = make([]sqlparser.Expr, len(e.Args))
 		for i, a := range e.Args {
-			if out.Args[i], specs, err = rewriteAggregates(a, groupBy, specs, aggs); err != nil {
-				return nil, nil, err
+			if out.Args[i], err = r.rewrite(a); err != nil {
+				return nil, err
 			}
 		}
-		return out, specs, nil
+		return out, nil
 	case *sqlparser.CaseExpr:
 		out := &sqlparser.CaseExpr{}
 		for _, w := range e.Whens {
 			var nw sqlparser.When
-			if nw.Cond, specs, err = rewriteAggregates(w.Cond, groupBy, specs, aggs); err != nil {
-				return nil, nil, err
+			if nw.Cond, err = r.rewrite(w.Cond); err != nil {
+				return nil, err
 			}
-			if nw.Then, specs, err = rewriteAggregates(w.Then, groupBy, specs, aggs); err != nil {
-				return nil, nil, err
+			if nw.Then, err = r.rewrite(w.Then); err != nil {
+				return nil, err
 			}
 			out.Whens = append(out.Whens, nw)
 		}
 		if e.Else != nil {
-			if out.Else, specs, err = rewriteAggregates(e.Else, groupBy, specs, aggs); err != nil {
-				return nil, nil, err
+			if out.Else, err = r.rewrite(e.Else); err != nil {
+				return nil, err
 			}
 		}
-		return out, specs, nil
+		return out, nil
 	case *sqlparser.IsNullExpr:
 		out := &sqlparser.IsNullExpr{Negate: e.Negate}
-		out.X, specs, err = rewriteAggregates(e.X, groupBy, specs, aggs)
-		return out, specs, err
+		out.X, err = r.rewrite(e.X)
+		return out, err
 	case *sqlparser.CastExpr:
 		out := &sqlparser.CastExpr{Type: e.Type}
-		out.X, specs, err = rewriteAggregates(e.X, groupBy, specs, aggs)
-		return out, specs, err
+		out.X, err = r.rewrite(e.X)
+		return out, err
 	case *sqlparser.BetweenExpr:
 		out := &sqlparser.BetweenExpr{Negate: e.Negate}
-		if out.X, specs, err = rewriteAggregates(e.X, groupBy, specs, aggs); err != nil {
-			return nil, nil, err
+		if out.X, err = r.rewrite(e.X); err != nil {
+			return nil, err
 		}
-		if out.Lo, specs, err = rewriteAggregates(e.Lo, groupBy, specs, aggs); err != nil {
-			return nil, nil, err
+		if out.Lo, err = r.rewrite(e.Lo); err != nil {
+			return nil, err
 		}
-		out.Hi, specs, err = rewriteAggregates(e.Hi, groupBy, specs, aggs)
-		return out, specs, err
+		out.Hi, err = r.rewrite(e.Hi)
+		return out, err
 	case *sqlparser.InExpr:
 		out := &sqlparser.InExpr{Negate: e.Negate}
-		if out.X, specs, err = rewriteAggregates(e.X, groupBy, specs, aggs); err != nil {
-			return nil, nil, err
+		if out.X, err = r.rewrite(e.X); err != nil {
+			return nil, err
 		}
 		out.List = make([]sqlparser.Expr, len(e.List))
 		for i, x := range e.List {
-			if out.List[i], specs, err = rewriteAggregates(x, groupBy, specs, aggs); err != nil {
-				return nil, nil, err
+			if out.List[i], err = r.rewrite(x); err != nil {
+				return nil, err
 			}
 		}
-		return out, specs, nil
+		return out, nil
 	default:
 		// Literals and column refs pass through unchanged.
-		return e, specs, nil
+		return e, nil
 	}
 }
 

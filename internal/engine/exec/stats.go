@@ -59,15 +59,6 @@ type Stats struct {
 	hasMerge bool
 }
 
-// ensureRoot returns the statement span, creating it for Stats built
-// outside runSelect.
-func (s *Stats) ensureRoot() *Span {
-	if s.Root == nil {
-		s.Root = newSpan("statement")
-	}
-	return s.Root
-}
-
 // Skew is max/mean of per-partition scanned rows: 1.0 is perfectly
 // balanced, higher means some partition did disproportionate work.
 // Zero-row scans report 0.

@@ -83,17 +83,26 @@ func TestRemoteQueryTraceEndToEnd(t *testing.T) {
 // span nested under the server span.
 func assertServerSpanTree(t *testing.T, eng *db.DB, tid string) {
 	t.Helper()
-	rec, ok := eng.Traces().Get(tid)
-	if !ok {
-		t.Fatalf("trace %s not retained server-side", tid)
-	}
+	// The server attaches its span when the statement handler returns,
+	// which is after the final frame reached the client: wait for it.
+	var rec trace.Record
 	var serverSpan, stmtParent, serverParent string
-	for _, sp := range rec.Spans {
-		switch sp.Name {
-		case "server":
-			serverSpan, serverParent = sp.SpanID, sp.ParentID
-		case "statement":
-			stmtParent = sp.ParentID
+	for deadline := time.Now().Add(5 * time.Second); serverSpan == "" && time.Now().Before(deadline); {
+		r, ok := eng.Traces().Get(tid)
+		if !ok {
+			t.Fatalf("trace %s not retained server-side", tid)
+		}
+		rec = r
+		for _, sp := range rec.Spans {
+			switch sp.Name {
+			case "server":
+				serverSpan, serverParent = sp.SpanID, sp.ParentID
+			case "statement":
+				stmtParent = sp.ParentID
+			}
+		}
+		if serverSpan == "" {
+			time.Sleep(time.Millisecond)
 		}
 	}
 	if serverSpan == "" {

@@ -368,25 +368,16 @@ func watchCtx(ctx context.Context, nc net.Conn) (stop func() bool) {
 	if ctx.Done() == nil {
 		return func() bool { return false }
 	}
-	stopped := make(chan struct{})
-	fired := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			nc.SetDeadline(time.Now())
-			close(fired)
-		case <-stopped:
-		}
-	}()
+	// AfterFunc's stop reports whether it prevented the deadline move,
+	// so a cancellation that lands after the call completed can never
+	// poison a connection that is already back in the pool.
+	stopWatch := context.AfterFunc(ctx, func() { nc.SetDeadline(time.Now()) })
 	return func() bool {
-		close(stopped)
-		select {
-		case <-fired:
+		if !stopWatch() {
 			return true
-		default:
-			nc.SetDeadline(time.Time{})
-			return false
 		}
+		nc.SetDeadline(time.Time{})
+		return false
 	}
 }
 
